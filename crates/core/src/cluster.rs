@@ -18,6 +18,7 @@
 //!   gateway its own TEID space.
 
 use crate::config::EpcConfig;
+use crate::demux::{packet_key, PacketKey};
 use crate::node::{NodeVerdict, PepcNode};
 use crate::state::{ControlState, CounterState};
 use pepc_backend::{Hss, Pcrf};
@@ -29,15 +30,6 @@ use std::sync::Arc;
 
 /// Bits reserved below the node index in TEID / UE IP spaces.
 const NODE_SHIFT: u32 = 28;
-
-/// The data-plane key the balancer routes a packet by.
-#[derive(Debug, Clone, Copy)]
-enum RouteKey {
-    /// Uplink GTP-U: gateway TEID.
-    Teid(u32),
-    /// Downlink plain IP: UE address.
-    UeIp(u32),
-}
 
 /// A cluster of PEPC nodes behind one virtual IP.
 pub struct Cluster {
@@ -119,8 +111,8 @@ impl Cluster {
             Some((k, key)) if k < n => {
                 if self.dead[k] {
                     let target = match key {
-                        RouteKey::Teid(teid) => self.redirect_teid.get(&teid),
-                        RouteKey::UeIp(ip) => self.redirect_ue_ip.get(&ip),
+                        PacketKey::Teid(teid) => self.redirect_teid.get(&teid),
+                        PacketKey::UeIp(ip) => self.redirect_ue_ip.get(&ip),
                     };
                     match target.copied() {
                         Some(t) => self.nodes[t].process(m),
@@ -142,22 +134,15 @@ impl Cluster {
         }
     }
 
-    fn route_of_packet(m: &Mbuf) -> Option<(usize, RouteKey)> {
-        let d = m.data();
-        if d.len() < 20 || d[0] != 0x45 {
-            return None;
-        }
-        let is_gtpu = d.len() >= 36 && d[9] == 17 && u16::from_be_bytes([d[22], d[23]]) == pepc_net::GTPU_PORT;
-        if is_gtpu {
+    fn route_of_packet(m: &Mbuf) -> Option<(usize, PacketKey)> {
+        let key = packet_key(m)?;
+        let k = match key {
             // Uplink: TEID regions start at 0x1000_0000, one per node.
-            let teid = u32::from_be_bytes([d[32], d[33], d[34], d[35]]);
-            let k = usize::try_from((teid >> NODE_SHIFT).checked_sub(1)?).ok()?;
-            Some((k, RouteKey::Teid(teid)))
-        } else {
+            PacketKey::Teid(teid) => usize::try_from((teid >> NODE_SHIFT).checked_sub(1)?).ok()?,
             // Downlink: UE IP regions start at 0x0A00_0001, one per node.
-            let dst = u32::from_be_bytes([d[16], d[17], d[18], d[19]]);
-            Some(((dst >> NODE_SHIFT) as usize, RouteKey::UeIp(dst)))
-        }
+            PacketKey::UeIp(dst) => (dst >> NODE_SHIFT) as usize,
+        };
+        Some((k, key))
     }
 
     // -- failover mechanisms (driven by the `pepc-ha` coordinator) -------------

@@ -37,7 +37,7 @@
 //!
 //! # Burst mode
 //!
-//! The pipeline is organised around [`DataPlane::process_burst`], a
+//! The pipeline is organised around [`DataPlane::process_burst_into`], a
 //! DPDK-style lookup-then-act burst path (§4.3, Figures 13–14):
 //!
 //! 1. **Parse pass** — classify direction and parse/decap headers for the
@@ -196,8 +196,7 @@ pub struct DataPlane {
     /// Buffered downlink flushed by a wake-up, already GTP-U encapped
     /// toward the re-established eNodeB tunnel.
     woken: Vec<Mbuf>,
-    /// The slice's context arena, shared with the control plane (and, in
-    /// sharded mode, every sibling shard).
+    /// The slice's context arena, shared with the control plane.
     slab: Arc<UeSlab>,
     pcef: Pcef,
     iot: IotConfig,
@@ -256,7 +255,7 @@ impl DataPlane {
     }
 
     /// Build a data plane over a shared context arena (the slice wires
-    /// control and data planes — and sibling shards — to one slab).
+    /// its control and data planes to one slab).
     pub fn with_slab(
         slab: Arc<UeSlab>,
         gw_ip: u32,
@@ -424,7 +423,7 @@ impl DataPlane {
     /// from the eNodeB; `downlink` packets are plain IP addressed to a UE.
     ///
     /// This is a dedicated burst-size-1 path sharing every decision stage
-    /// with [`Self::process_burst`] (same classifier, same table lookup,
+    /// with [`Self::process_burst_into`] (same classifier, same table lookup,
     /// same [`Self::enforce_one`] core), but skipping the burst machinery
     /// — slot/decision/group scratch, prefetch scheduling, run fusion —
     /// that only pays for itself at size > 1. Differential tests pin it
@@ -497,16 +496,9 @@ impl DataPlane {
         Decision::Drop(DropReason::UnknownUser)
     }
 
-    /// Process a whole burst, returning one verdict per packet in input
-    /// order. The burst vector is drained (emptied) by the call.
-    pub fn process_burst(&mut self, burst: &mut Vec<Mbuf>, now_ns: u64) -> Vec<PacketVerdict> {
-        let mut out = Vec::with_capacity(burst.len());
-        self.process_burst_into(burst, now_ns, &mut out);
-        out
-    }
-
-    /// Allocation-free core of the burst path: verdicts are appended to
-    /// `out` (one per packet, input order); `burst` is drained.
+    /// Process a whole burst: verdicts are appended to `out` (one per
+    /// packet, input order) and `burst` is drained. Callers reuse `out`,
+    /// so the burst path allocates nothing per call.
     pub fn process_burst_into(&mut self, burst: &mut Vec<Mbuf>, now_ns: u64, out: &mut Vec<PacketVerdict>) {
         let n = burst.len();
         if n == 0 {
@@ -1213,7 +1205,8 @@ mod tests {
             inner_udp(0x08080808, UE_IP, 443, 64),
             Mbuf::from_payload(&[0xFF; 40]),
         ];
-        let out = dp.process_burst(&mut burst, 100);
+        let mut out = Vec::new();
+        dp.process_burst_into(&mut burst, 100, &mut out);
         assert!(burst.is_empty(), "burst is drained");
         assert_eq!(out.len(), 4);
         assert!(out[0].is_forward());
@@ -1241,7 +1234,8 @@ mod tests {
             uplink_packet(TEID_UL + 1),
             uplink_packet(TEID_UL),
         ];
-        let out = dp.process_burst(&mut burst, 50);
+        let mut out = Vec::new();
+        dp.process_burst_into(&mut burst, 50, &mut out);
         assert!(out.iter().all(|v| v.is_forward()));
         assert_eq!(counters(&dp, a).uplink_packets, 4);
         assert_eq!(counters(&dp, b).uplink_packets, 2);
@@ -1254,7 +1248,7 @@ mod tests {
         let mut dp = dp();
         attach_user(&mut dp, 0);
         let mut burst = vec![uplink_packet(TEID_UL), uplink_packet(0xDEAD), uplink_packet(TEID_UL)];
-        dp.process_burst(&mut burst, 7);
+        dp.process_burst_into(&mut burst, 7, &mut Vec::new());
         assert_eq!(dp.metrics().forwarded, 2);
         assert_eq!(dp.pipeline_latency().count(), 2);
     }
@@ -1262,7 +1256,8 @@ mod tests {
     #[test]
     fn empty_burst_is_a_no_op() {
         let mut dp = dp();
-        let out = dp.process_burst(&mut Vec::new(), 1);
+        let mut out = Vec::new();
+        dp.process_burst_into(&mut Vec::new(), 1, &mut out);
         assert!(out.is_empty());
         assert_eq!(dp.metrics().rx, 0);
         assert_eq!(dp.pipeline_latency().count(), 0);
@@ -1285,8 +1280,9 @@ mod tests {
             scalar_verdicts.push(scalar.process(uplink_packet(TEID_UL), now).is_forward());
         }
         let mut burst: Vec<Mbuf> = (0..40).map(|_| uplink_packet(TEID_UL)).collect();
-        let burst_verdicts: Vec<bool> =
-            burst_dp.process_burst(&mut burst, now).iter().map(|v| v.is_forward()).collect();
+        let mut out = Vec::new();
+        burst_dp.process_burst_into(&mut burst, now, &mut out);
+        let burst_verdicts: Vec<bool> = out.iter().map(|v| v.is_forward()).collect();
         assert_eq!(scalar_verdicts, burst_verdicts);
         assert_eq!(counters(&scalar, scalar_h), counters(&burst_dp, burst_h));
         assert_eq!(scalar.metrics(), burst_dp.metrics());
@@ -1315,18 +1311,18 @@ mod tests {
         attach_user(&mut dp, 0);
         // Off by default: the burst path records nothing per stage.
         let mut burst = vec![uplink_packet(TEID_UL), uplink_packet(TEID_UL)];
-        dp.process_burst(&mut burst, 1);
+        dp.process_burst_into(&mut burst, 1, &mut Vec::new());
         assert!(dp.stage_latencies().iter().all(|h| h.count() == 0));
         dp.set_stage_timing(true);
         let mut burst = vec![uplink_packet(TEID_UL), uplink_packet(TEID_UL), uplink_packet(0xDEAD)];
-        dp.process_burst(&mut burst, 2);
+        dp.process_burst_into(&mut burst, 2, &mut Vec::new());
         for (h, name) in dp.stage_latencies().iter().zip(STAGE_NAMES) {
             assert_eq!(h.count(), 1, "stage {name} records once per burst");
         }
         // Stage timing rides on telemetry: disabling telemetry stops it.
         dp.set_telemetry_enabled(false);
         let mut burst = vec![uplink_packet(TEID_UL)];
-        dp.process_burst(&mut burst, 3);
+        dp.process_burst_into(&mut burst, 3, &mut Vec::new());
         assert_eq!(dp.stage_latencies()[0].count(), 1);
     }
 
@@ -1443,7 +1439,8 @@ mod tests {
             inner_udp(1, UE_IP, 80, 16),
             inner_udp(1, 0x0A0000FF, 80, 16),
         ];
-        let out = dp.process_burst(&mut burst, 20);
+        let mut out = Vec::new();
+        dp.process_burst_into(&mut burst, 20, &mut out);
         assert!(matches!(out[0], PacketVerdict::Buffered));
         assert!(matches!(out[1], PacketVerdict::Drop(DropReason::IdleUplink)));
         assert!(matches!(out[2], PacketVerdict::Buffered));

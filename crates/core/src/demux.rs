@@ -20,10 +20,6 @@ pub enum Steer {
     ToSlice(usize),
     /// The user is migrating; the packet has been parked.
     Parked,
-    /// No mapping for this packet's key.
-    Unknown,
-    /// The packet could not be parsed.
-    Malformed,
 }
 
 /// The steering table.
@@ -69,27 +65,41 @@ impl Demux {
         self.by_imsi.get(&imsi).copied()
     }
 
-    /// Steer one data packet. Uplink GTP-U is keyed by TEID; downlink IP
-    /// by destination address. Packets of migrating users are parked.
+    /// Slice a data packet steers to, without parking it. Uplink GTP-U
+    /// is keyed by TEID; downlink IP by destination address. A packet
+    /// with no mapped key, or none at all, goes to slice 0, whose
+    /// pipeline charges it to `drop_unknown_user` or `drop_malformed` (or
+    /// serves it from the stateless IoT pool), so every packet the node
+    /// receives is counted by exactly one slice.
+    pub fn slice_for_packet(&self, m: &Mbuf) -> usize {
+        self.slice_for_key(packet_key(m))
+    }
+
+    fn slice_for_key(&self, key: Option<PacketKey>) -> usize {
+        let slice = match key {
+            Some(PacketKey::Teid(teid)) => self.by_teid.get(&teid),
+            Some(PacketKey::UeIp(ip)) => self.by_ue_ip.get(&ip),
+            None => None,
+        };
+        slice.copied().unwrap_or(0)
+    }
+
+    /// Steer one data packet as [`Self::slice_for_packet`] does, except
+    /// that packets of migrating users are parked.
     pub fn steer(&mut self, m: Mbuf) -> (Steer, Option<Mbuf>) {
-        let key = match packet_key(&m) {
-            Some(k) => k,
-            None => return (Steer::Malformed, Some(m)),
-        };
-        let (imsi, slice) = match key {
-            PacketKey::Teid(teid) => (self.teid_to_imsi.get(&teid), self.by_teid.get(&teid)),
-            PacketKey::UeIp(ip) => (self.ip_to_imsi.get(&ip), self.by_ue_ip.get(&ip)),
-        };
-        if let Some(imsi) = imsi {
-            if let Some(queue) = self.migrating.get_mut(imsi) {
+        let key = packet_key(&m);
+        if !self.migrating.is_empty() {
+            let imsi = match key {
+                Some(PacketKey::Teid(teid)) => self.teid_to_imsi.get(&teid),
+                Some(PacketKey::UeIp(ip)) => self.ip_to_imsi.get(&ip),
+                None => None,
+            };
+            if let Some(queue) = imsi.and_then(|imsi| self.migrating.get_mut(imsi)) {
                 queue.push(m);
                 return (Steer::Parked, None);
             }
         }
-        match slice {
-            Some(&s) => (Steer::ToSlice(s), Some(m)),
-            None => (Steer::Unknown, Some(m)),
-        }
+        (Steer::ToSlice(self.slice_for_key(key)), Some(m))
     }
 
     /// Steer a whole burst, appending one `(steer, packet)` pair per
@@ -148,9 +158,8 @@ pub enum PacketKey {
 
 /// Extract the steering key without fully parsing the packet: uplink
 /// GTP-U (outer UDP :2152) → TEID at a fixed offset; otherwise downlink
-/// IPv4 → destination address. Shared by the slice-level [`Demux`] and
-/// the software-RSS shard steering ([`crate::shard`]) so both layers
-/// agree on what a packet is keyed by.
+/// IPv4 → destination address. Shared by the node [`Demux`] and the
+/// cluster balancer, so both layers agree on what a packet is keyed by.
 pub fn packet_key(m: &Mbuf) -> Option<PacketKey> {
     let d = m.data();
     if d.len() >= 20 && d[0] == 0x45 {
@@ -196,16 +205,20 @@ mod tests {
     }
 
     #[test]
-    fn unknown_keys_reported() {
+    fn unknown_keys_go_to_slice_zero() {
         let mut d = Demux::new();
-        assert_eq!(d.steer(uplink(0x9999)).0, Steer::Unknown);
-        assert_eq!(d.steer(downlink(0x0B000001)).0, Steer::Unknown);
+        d.map_user(7, 0x1000, 0x0A000001, 3);
+        assert_eq!(d.steer(uplink(0x9999)).0, Steer::ToSlice(0));
+        assert_eq!(d.steer(downlink(0x0B000001)).0, Steer::ToSlice(0));
     }
 
     #[test]
-    fn malformed_packets_reported() {
+    fn malformed_packets_go_to_slice_zero() {
         let mut d = Demux::new();
-        assert_eq!(d.steer(Mbuf::from_payload(&[0u8; 4])).0, Steer::Malformed);
+        d.map_user(7, 0x1000, 0x0A000001, 3);
+        let (s, m) = d.steer(Mbuf::from_payload(&[0u8; 4]));
+        assert_eq!(s, Steer::ToSlice(0));
+        assert!(m.is_some(), "handed on, not swallowed");
     }
 
     #[test]
@@ -250,10 +263,10 @@ mod tests {
     #[test]
     fn unmap_removes_all_keys() {
         let mut d = Demux::new();
-        d.map_user(7, 0x1000, 0x0A000001, 0);
+        d.map_user(7, 0x1000, 0x0A000001, 2);
         d.unmap_user(7, 0x1000, 0x0A000001);
         assert_eq!(d.user_count(), 0);
-        assert_eq!(d.steer(uplink(0x1000)).0, Steer::Unknown);
+        assert_eq!(d.slice_for_packet(&uplink(0x1000)), 0, "unmapped keys fall back to slice 0");
         assert_eq!(d.slice_for_imsi(7), None);
     }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 pub enum NodeVerdict {
     /// Processed and forwarded by a slice.
     Forward(Mbuf),
-    /// Dropped by the pipeline (slice verdict) or unroutable (no user).
+    /// Dropped by a slice's pipeline, which charged one drop cause.
     Drop,
     /// Parked in a migration queue; will emerge later.
     Parked,
@@ -42,6 +42,16 @@ pub enum NodeVerdict {
 impl NodeVerdict {
     pub fn is_forward(&self) -> bool {
         matches!(self, NodeVerdict::Forward(_))
+    }
+}
+
+impl From<PacketVerdict> for NodeVerdict {
+    fn from(v: PacketVerdict) -> Self {
+        match v {
+            PacketVerdict::Forward(m) => NodeVerdict::Forward(m),
+            PacketVerdict::Drop(_) => NodeVerdict::Drop,
+            PacketVerdict::Buffered => NodeVerdict::Buffered,
+        }
     }
 }
 
@@ -58,6 +68,8 @@ pub struct PepcNode {
     migration_ns: Vec<LatencyHistogram>,
     /// Clock the node stamps migration latencies with (virtual under sim).
     clock: Clock,
+    /// Verdict scratch for [`Self::process_burst`]'s same-slice runs.
+    verdicts: Vec<PacketVerdict>,
 }
 
 impl PepcNode {
@@ -82,6 +94,7 @@ impl PepcNode {
             migration_out: Vec::new(),
             migration_ns,
             clock: Clock::new(),
+            verdicts: Vec::new(),
         }
     }
 
@@ -247,13 +260,8 @@ impl PepcNode {
     pub fn process(&mut self, m: Mbuf) -> NodeVerdict {
         let (steer, m) = self.demux.steer(m);
         match steer {
-            Steer::ToSlice(k) => match self.slices[k].process_packet(m.expect("steered")) {
-                PacketVerdict::Forward(out) => NodeVerdict::Forward(out),
-                PacketVerdict::Drop(_) => NodeVerdict::Drop,
-                PacketVerdict::Buffered => NodeVerdict::Buffered,
-            },
+            Steer::ToSlice(k) => self.slices[k].process_packet(m.expect("steered")).into(),
             Steer::Parked => NodeVerdict::Parked,
-            Steer::Unknown | Steer::Malformed => NodeVerdict::Drop,
         }
     }
 
@@ -281,10 +289,6 @@ impl PepcNode {
                     self.flush_run(&mut run, &mut run_slice, &mut out);
                     out.push(NodeVerdict::Parked);
                 }
-                Steer::Unknown | Steer::Malformed => {
-                    self.flush_run(&mut run, &mut run_slice, &mut out);
-                    out.push(NodeVerdict::Drop);
-                }
             }
         }
         self.flush_run(&mut run, &mut run_slice, &mut out);
@@ -297,13 +301,8 @@ impl PepcNode {
         if run.is_empty() {
             return;
         }
-        for v in self.slices[k].process_burst(run) {
-            match v {
-                PacketVerdict::Forward(m) => out.push(NodeVerdict::Forward(m)),
-                PacketVerdict::Drop(_) => out.push(NodeVerdict::Drop),
-                PacketVerdict::Buffered => out.push(NodeVerdict::Buffered),
-            }
-        }
+        self.slices[k].process_burst_into(run, &mut self.verdicts);
+        out.extend(self.verdicts.drain(..).map(NodeVerdict::from));
     }
 
     /// Migrate `imsi` from its current slice to `target`. Packets
@@ -529,6 +528,41 @@ mod tests {
         Ipv4Hdr::new(1, 0x0BADF00D, IpProto::Udp, 0).emit(&mut hdr).unwrap();
         m.extend(&hdr);
         assert!(matches!(n.process(m), NodeVerdict::Drop));
+    }
+
+    #[test]
+    fn every_offered_packet_is_counted_by_one_slice() {
+        let mut n = node(4);
+        for imsi in 0..8 {
+            n.attach(imsi);
+        }
+        let mut burst = Vec::new();
+        for imsi in 0..8 {
+            burst.push(uplink_for(&mut n, imsi));
+        }
+        // Unknown TEID, unknown UE IP, and a frame whose first byte is not 0x45.
+        let mut unknown_ul = Mbuf::new();
+        let mut hdr = vec![0u8; IPV4_HDR_LEN + 16];
+        Ipv4Hdr::new(1, 0x08080808, IpProto::Udp, 16).emit(&mut hdr[..IPV4_HDR_LEN]).unwrap();
+        unknown_ul.extend(&hdr);
+        encap_gtpu(&mut unknown_ul, 0xC0A80001, 0x0AFE0001, 0xDEAD).unwrap();
+        burst.push(unknown_ul);
+        let mut unknown_dl = Mbuf::new();
+        let mut hdr = vec![0u8; IPV4_HDR_LEN];
+        Ipv4Hdr::new(1, 0x0BADF00D, IpProto::Udp, 0).emit(&mut hdr).unwrap();
+        unknown_dl.extend(&hdr);
+        burst.push(unknown_dl);
+        burst.push(Mbuf::from_payload(&[0x60; 40]));
+        let offered = burst.len() as u64;
+
+        let verdicts = n.process_burst(burst);
+        assert_eq!(verdicts.iter().filter(|v| v.is_forward()).count(), 8);
+        let snap = n.metrics_snapshot();
+        let rx: u64 = snap.slices.iter().map(|s| s.data.rx).sum();
+        assert_eq!(offered, rx, "no packet dies at the Demux uncounted");
+        assert!(snap.conservation_holds());
+        assert_eq!(snap.slices[0].data.drop_unknown_user, 2);
+        assert_eq!(snap.slices[0].data.drop_malformed, 1);
     }
 
     #[test]

@@ -5,17 +5,18 @@ Usage: python3 scripts/bench_shard.py
 
 Runs `cargo bench -p pepc-bench --bench shard_scale`, parses the
 `bench <name> <ns> ns/iter` lines, and writes BENCH_shard.json with, per
-shard count (1, 2, 4, 8):
+count of node slices behind the Demux (1, 2, 4, 8; the JSON keeps the
+"shards" key):
 
-- aggregate ns/packet (max per-shard busy time over packets — the
-  wall-clock the slowest shard imposes when each runs on its own core)
-  and the aggregate Mpps it implies,
-- scaling vs the 1-shard pipeline plus the perfect-scaling reference,
+- aggregate ns/packet (max per-slice busy time over packets — the
+  wall-clock the slowest slice imposes when each runs on its own core,
+  modeled on one thread) and the aggregate Mpps it implies,
+- scaling vs the 1-slice node plus the perfect-scaling reference,
 - per-stage (parse / lookup / enforce) ns/packet medians,
-- steering imbalance (max/mean packets).
+- steering imbalance (max/mean packets per slice).
 
 Exits non-zero when the pinned perf contract is violated:
-- aggregate throughput must scale >= 3x from 1 to 4 shards,
+- aggregate throughput must scale >= 3x from 1 to 4 slices,
 - every per-stage median must stay within its ns/packet budget.
 """
 import json
@@ -26,7 +27,7 @@ import sys
 
 SHARD_COUNTS = [1, 2, 4, 8]
 STAGES = ["parse", "lookup", "enforce"]
-# 1 -> 4 shards must buy at least this much aggregate throughput.
+# 1 -> 4 slices must buy at least this much aggregate throughput.
 MIN_SCALING_1_TO_4 = 3.0
 # Per-stage ns/packet ceilings: ~3x the medians measured at commit time
 # (parse 24-30, lookup 22-31, enforce 38-50 ns), so the gate trips on a
@@ -63,6 +64,8 @@ def main():
 
     results = {
         "bench": "shard_scale",
+        "partitioning": "PepcNode slices behind the Demux",
+        "aggregate_is": "modeled: max per-slice busy time on one thread",
         "users": 10000,
         "burst": 64,
         "median_of_runs": RUNS,
@@ -79,7 +82,7 @@ def main():
             "aggregate_ns_per_packet": round(ns_pkt, 2),
             "aggregate_mpps": round(1e3 / ns_pkt, 2),
             "stage_ns_per_packet": {},
-            # max/mean steered packets; the bench prints it x1000.
+            # max/mean packets per slice; the bench prints it x1000.
             "imbalance": round(cases.get(f"shard_scale/imbalance/{n}", 0.0) / 1000.0, 3),
         }
         for stage in STAGES:
@@ -105,8 +108,8 @@ def main():
     scaling4 = results["shards"]["4"]["scaling_vs_1"]
     if scaling4 < MIN_SCALING_1_TO_4:
         sys.stderr.write(
-            f"shard scaling regression: 4 shards only {scaling4}x the "
-            f"1-shard pipeline (floor {MIN_SCALING_1_TO_4}x)\n"
+            f"slice scaling regression: 4 slices only {scaling4}x the "
+            f"1-slice node (floor {MIN_SCALING_1_TO_4}x)\n"
         )
         failed = True
     for n in SHARD_COUNTS:
@@ -114,7 +117,7 @@ def main():
             got = results["shards"][str(n)]["stage_ns_per_packet"][stage]
             if got > budget:
                 sys.stderr.write(
-                    f"stage budget exceeded at {n} shard(s): {stage} "
+                    f"stage budget exceeded at {n} slice(s): {stage} "
                     f"{got} ns/packet (budget {budget})\n"
                 )
                 failed = True

@@ -158,7 +158,8 @@ fn burst_path_is_observationally_identical_to_scalar() {
             let copies: Vec<Mbuf> = packets.iter().map(|m| Mbuf::from_payload(m.data())).collect();
 
             let mut burst_in = packets;
-            let burst_out = burst_dp.process_burst(&mut burst_in, now);
+            let mut burst_out = Vec::new();
+            burst_dp.process_burst_into(&mut burst_in, now, &mut burst_out);
             let scalar_out: Vec<PacketVerdict> = copies.into_iter().map(|m| scalar.process(m, now)).collect();
 
             assert_eq!(burst_out.len(), scalar_out.len());
@@ -231,7 +232,8 @@ fn burst_path_identical_under_concurrent_view_republish() {
             let copies: Vec<Mbuf> = packets.iter().map(|m| Mbuf::from_payload(m.data())).collect();
 
             let mut burst_in = packets;
-            let burst_out = burst_dp.process_burst(&mut burst_in, now);
+            let mut burst_out = Vec::new();
+            burst_dp.process_burst_into(&mut burst_in, now, &mut burst_out);
             let scalar_out: Vec<PacketVerdict> = copies.into_iter().map(|m| scalar.process(m, now)).collect();
 
             assert_eq!(burst_out.len(), scalar_out.len());
@@ -257,7 +259,7 @@ fn burst_path_identical_under_concurrent_view_republish() {
 
 #[test]
 fn scalar_process_is_the_burst_size_one_case() {
-    // Driving process_burst with singleton bursts must equal process().
+    // Driving process_burst_into with singleton bursts must equal process().
     let (mut a, a_ctxs) = build_plane();
     let (mut b, b_ctxs) = build_plane();
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -267,7 +269,8 @@ fn scalar_process_is_the_burst_size_one_case() {
         let m = next_packet(&mut rng, &mut sticky);
         let copy = Mbuf::from_payload(m.data());
         let va = a.process(m, now);
-        let vb = b.process_burst(&mut vec![copy], now);
+        let mut vb = Vec::new();
+        b.process_burst_into(&mut vec![copy], now, &mut vb);
         assert_eq!(verdict_kind(&va), verdict_kind(&vb[0]), "packet {i}");
     }
     assert_eq!(a.metrics(), b.metrics());
